@@ -447,54 +447,63 @@ def render_svg(
 # subcommands
 
 
-def _verify_concrete(spheres: list, machine: bool) -> int:
-    cfg = gram(spheres)
-    verdict = realizable(cfg.f)
+def _verify_doc(spheres: Optional[list], f: Optional[SymMatrix] = None) -> tuple[dict, int]:
+    """Gram, inertia, verdict and master residual, with the exit code of the verdict.
+
+    Concrete spheres reuse the inverse from gram() for the master residual;
+    a hypothetical table f has no residual.
+    """
+    residual = None
+    if spheres is None:
+        ine = inertia(f)
+    else:
+        cfg = gram(spheres)
+        f, ine = cfg.f, cfg.inertia
+        if cfg.inverse is not None:
+            residual = _clean_float(master_residual(spheres, cfg.inverse))
+    verdict = realizable(f)
     doc = {
-        "gram": [[_clean_float(x) for x in row] for row in cfg.f.array.tolist()],
-        "inertia": list(cfg.inertia),
+        "gram": [[_clean_float(x) for x in row] for row in f.array.tolist()],
+        "inertia": list(ine),
         "verdict": verdict.value,
-        "master_residual": None,
+        "master_residual": residual,
     }
-    if cfg.inverse is not None:
-        doc["master_residual"] = _clean_float(master_residual(spheres))
-    _emit(doc, machine)
-    return EXIT_OK if verdict is Realizability.REALIZABLE else EXIT_DEGENERATE
+    return doc, EXIT_OK if verdict is Realizability.REALIZABLE else EXIT_DEGENERATE
 
 
 def cmd_verify(args) -> int:
     job = load_job(args.input, args.dim, args.tol)
     if job.gram_matrix is not None or job.pairwise is not None:
         f = SymMatrix(job.gram_matrix) if job.gram_matrix is not None else _pairwise_gram(job)
-        verdict = realizable(f)
-        doc = {
-            "gram": [[_clean_float(x) for x in row] for row in f.array.tolist()],
-            "inertia": list(inertia(f)),
-            "verdict": verdict.value,
-            "master_residual": None,
-        }
-        _emit(doc, args.json)
-        return EXIT_OK if verdict is Realizability.REALIZABLE else EXIT_DEGENERATE
-    spheres = job.concrete_spheres
-    if job.solutions:
-        codes = []
-        docs = []
+        doc, code = _verify_doc(None, f)
+    elif job.solutions:
+        spheres = job.concrete_spheres
+        entries, codes = [], []
         for sol in job.solutions:
-            cfg = gram(spheres + [sol])
-            verdict = realizable(cfg.f)
-            entry = {
-                "solution": _shape_json(sol),
-                "inertia": list(cfg.inertia),
-                "verdict": verdict.value,
-                "master_residual": None,
-            }
-            if cfg.inverse is not None:
-                entry["master_residual"] = _clean_float(master_residual(spheres + [sol]))
-            docs.append(entry)
-            codes.append(EXIT_OK if verdict is Realizability.REALIZABLE else EXIT_DEGENERATE)
-        _emit({"completions": docs}, args.json)
-        return max(codes)
-    return _verify_concrete(spheres, args.json)
+            entry, entry_code = _verify_doc(spheres + [sol])
+            del entry["gram"]
+            entries.append(dict(entry, solution=_shape_json(sol)))
+            codes.append(entry_code)
+        doc, code = {"completions": entries}, max(codes)
+    else:
+        doc, code = _verify_doc(job.concrete_spheres)
+    _emit(doc, args.json)
+    return code
+
+
+def _emit_result(args, job: JobSpec, knowns: list, result: SolveResult, **extra) -> int:
+    """Emit the knowns, any extra fields and one solver result; exit 1 when it is empty."""
+    doc = {"dimension": job.dimension, "spheres": [_shape_json(s) for s in knowns], **extra}
+    doc.update(_result_json(result))
+    _emit(doc, args.json)
+    return EXIT_OK if result.solutions else EXIT_NO_SOLUTION
+
+
+def _three_circles(args, job: JobSpec) -> list:
+    knowns = job.concrete_spheres
+    if len(knowns) != 3 or any(not isinstance(s, Sphere) for s in knowns):
+        raise ValueError(f"{args.command} needs exactly three circles")
+    return knowns
 
 
 def cmd_solve(args) -> int:
@@ -502,14 +511,7 @@ def cmd_solve(args) -> int:
     knowns = job.concrete_spheres
     row = _constraint_row(job)
     result = complete_configuration(knowns, row, tol=job.tolerance)
-    doc = {
-        "dimension": job.dimension,
-        "spheres": [_shape_json(s) for s in knowns],
-        "constraints": list(row.targets),
-    }
-    doc.update(_result_json(result))
-    _emit(doc, args.json)
-    return EXIT_OK if result.solutions else EXIT_NO_SOLUTION
+    return _emit_result(args, job, knowns, result, constraints=list(row.targets))
 
 
 def _parse_signs(text: str) -> tuple[int, int, int]:
@@ -520,9 +522,7 @@ def _parse_signs(text: str) -> tuple[int, int, int]:
 
 def cmd_apollonius(args) -> int:
     job = load_job(args.input, args.dim, args.tol)
-    knowns = job.concrete_spheres
-    if len(knowns) != 3 or any(not isinstance(s, Sphere) for s in knowns):
-        raise ValueError("apollonius needs exactly three circles")
+    knowns = _three_circles(args, job)
     if args.signs == "all":
         patterns = apollonius_all(*knowns)
         doc = {
@@ -536,30 +536,13 @@ def cmd_apollonius(args) -> int:
         _emit(doc, args.json)
         return EXIT_OK if doc["distinct_count"] else EXIT_NO_SOLUTION
     signs = _parse_signs(args.signs)
-    result = apollonius(*knowns, signs)
-    doc = {
-        "dimension": job.dimension,
-        "spheres": [_shape_json(s) for s in knowns],
-        "signs": list(signs),
-    }
-    doc.update(_result_json(result))
-    _emit(doc, args.json)
-    return EXIT_OK if result.solutions else EXIT_NO_SOLUTION
+    return _emit_result(args, job, knowns, apollonius(*knowns, signs), signs=list(signs))
 
 
 def _triple_command(args, solver) -> int:
     job = load_job(args.input, args.dim, args.tol)
-    knowns = job.concrete_spheres
-    if len(knowns) != 3 or any(not isinstance(s, Sphere) for s in knowns):
-        raise ValueError("this subcommand needs exactly three circles")
-    result = solver(*knowns)
-    doc = {
-        "dimension": job.dimension,
-        "spheres": [_shape_json(s) for s in knowns],
-    }
-    doc.update(_result_json(result))
-    _emit(doc, args.json)
-    return EXIT_OK if result.solutions else EXIT_NO_SOLUTION
+    knowns = _three_circles(args, job)
+    return _emit_result(args, job, knowns, solver(*knowns))
 
 
 def cmd_descartes(args) -> int:

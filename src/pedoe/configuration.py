@@ -21,34 +21,7 @@ from . import linalg
 from .errors import DimensionMismatchError, SingularMatrixError
 from .geometry import GeneralizedSphere, pedoe_vector
 from .linalg import Inertia, SymMatrix
-from .minkowski import MVector, _inner_raw, metric_inverse
-
-
-@dataclass(frozen=True, eq=False)
-class DataMatrix:
-    """Columns are the unit vectors of n+2 spheres in R^n."""
-
-    columns: tuple[MVector, ...]
-
-    def __post_init__(self):
-        if not self.columns:
-            raise ValueError("empty data matrix")
-        size = self.columns[0].components.size
-        if any(v.components.size != size for v in self.columns):
-            raise DimensionMismatchError("mixed ambient dimensions in data matrix")
-        if len(self.columns) != size:
-            raise DimensionMismatchError(
-                f"need n+2 = {size} spheres in dimension {size - 2}, got {len(self.columns)}"
-            )
-        object.__setattr__(self, "columns", tuple(self.columns))
-
-    @property
-    def n(self) -> int:
-        return self.columns[0].n
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.column_stack([v.components for v in self.columns])
+from .minkowski import metric_inverse
 
 
 class Realizability(Enum):
@@ -70,9 +43,19 @@ class ConfigurationMatrix:
         return self.inverse is None
 
 
-def data_matrix(spheres: Sequence[GeneralizedSphere]) -> DataMatrix:
-    """Stack the unit vectors of spheres/hyperplanes as matrix columns."""
-    return DataMatrix(tuple(pedoe_vector(s) for s in spheres))
+def data_matrix(spheres: Sequence[GeneralizedSphere]) -> np.ndarray:
+    """The (n+2) x (n+2) array whose columns are the unit vectors of n+2 spheres in R^n."""
+    cols = [pedoe_vector(s).components for s in spheres]
+    if not cols:
+        raise ValueError("empty data matrix")
+    size = cols[0].size
+    if any(c.size != size for c in cols):
+        raise DimensionMismatchError("mixed ambient dimensions in data matrix")
+    if len(cols) != size:
+        raise DimensionMismatchError(
+            f"need n+2 = {size} spheres in dimension {size - 2}, got {len(cols)}"
+        )
+    return np.column_stack(cols)
 
 
 def gram(spheres: Sequence[GeneralizedSphere]) -> ConfigurationMatrix:
@@ -81,19 +64,11 @@ def gram(spheres: Sequence[GeneralizedSphere]) -> ConfigurationMatrix:
     A singular Gram matrix is not an error here; the inverse is simply
     absent and operations that need it raise SingularMatrixError.
     """
-    dm = data_matrix(spheres)
-    cols = [v.components for v in dm.columns]
-    k = len(cols)
-    f = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            f[i, j] = f[j, i] = _inner_raw(cols[i], cols[j])
-    fm = SymMatrix(f)
-    try:
-        inverse = linalg.invert_symmetric(fm)
-    except SingularMatrixError:
-        inverse = None
-    return ConfigurationMatrix(fm, inverse, linalg.inertia(fm))
+    a = data_matrix(spheres)
+    # A^T g A with g's two blocks written out, so each entry rounds exactly as inner() does
+    fm = SymMatrix(0.5 * (np.outer(a[0], a[1]) + np.outer(a[1], a[0])) - a[2:].T @ a[2:])
+    ine, inverse, _ = linalg._decompose(fm)
+    return ConfigurationMatrix(fm, inverse, ine)
 
 
 def dual_products(
@@ -116,7 +91,7 @@ def dual_products(
         if cfg.inverse is None:
             raise SingularMatrixError("configuration matrix is singular")
         f_inverse = cfg.inverse
-    a = data_matrix(spheres).array
+    a = data_matrix(spheres)
     if f_inverse.dim != a.shape[0]:
         raise DimensionMismatchError(
             f"f_inverse of dim {f_inverse.dim} for {a.shape[0]} spheres"

@@ -1,22 +1,23 @@
 """Dense symmetric-matrix kernel for small configuration problems.
 
 Everything here is sized for (n+2) x (n+2) matrices with small ambient
-dimension n, so robustness beats speed: eigenvalues come from a cyclic
-Jacobi iteration rather than a factorization.
+dimension n.  Inertia, inverse and condition estimate all come from one
+LAPACK symmetric eigendecomposition (numpy's eigh).  It is backward
+stable: the eigenvalues belong to a matrix within a small multiple of
+machine epsilon times the norm of the input, the same scale the inertia
+count's zero tolerance is measured against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import InconsistentSystemError, SingularMatrixError
 
 DEFAULT_COND_LIMIT = 1e12
-_JACOBI_REL_TOL = 1e-12
-_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,56 +55,27 @@ class Inertia(NamedTuple):
     n_zero: int
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    # summed entrywise, not as ||a||^2 - ||diag||^2, which cancels catastrophically
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+def _decompose(
+    m: SymMatrix, zero_tol: float | None = None, cond_limit: float = DEFAULT_COND_LIMIT
+) -> tuple[Inertia, Optional[SymMatrix], float]:
+    """Inertia, inverse and condition estimate from one eigendecomposition.
 
-
-def jacobi_eigensystem(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Returns (eigenvalues, eigenvectors) with eigenvectors in columns,
-    iterated until the off-diagonal Frobenius norm drops below
-    1e-12 times the matrix norm.
+    The inverse is None when an eigenvalue vanishes or the condition
+    estimate max|w|/min|w| exceeds cond_limit.
     """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    vecs = np.eye(n)
-    if n == 1:
-        return np.diag(a).copy(), vecs
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return np.zeros(n), vecs
-    for _ in range(_MAX_SWEEPS):
-        if _offdiag_norm(a) <= _JACOBI_REL_TOL * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                # smaller-magnitude root of t^2 + 2*theta*t - 1 = 0, for stability
-                if theta >= 0.0:
-                    t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = vecs[:, p].copy(), vecs[:, q].copy()
-                vecs[:, p] = c * vp - s * vq
-                vecs[:, q] = s * vp + c * vq
-    else:  # pragma: no cover - Jacobi always converges for symmetric input
-        raise RuntimeError("Jacobi iteration failed to converge")
-    return np.diag(a).copy(), vecs
+    if zero_tol is None:
+        zero_tol = 1e-9 * float(np.max(np.abs(m.array), initial=0.0))
+    if zero_tol < 0.0:
+        raise ValueError("zero_tol must be nonnegative")
+    if cond_limit <= 1.0:
+        raise ValueError("cond_limit must exceed 1")
+    w, v = np.linalg.eigh(m.array)
+    n_pos = int(np.sum(w > zero_tol))
+    n_neg = int(np.sum(w < -zero_tol))
+    amin = float(np.min(np.abs(w)))
+    cond = float(np.max(np.abs(w))) / amin if amin else np.inf
+    inverse = None if amin == 0.0 or cond > cond_limit else SymMatrix((v / w) @ v.T)
+    return Inertia(n_pos, n_neg, m.dim - n_pos - n_neg), inverse, cond
 
 
 def invert_symmetric(m: SymMatrix, cond_limit: float = DEFAULT_COND_LIMIT) -> SymMatrix:
@@ -112,17 +84,13 @@ def invert_symmetric(m: SymMatrix, cond_limit: float = DEFAULT_COND_LIMIT) -> Sy
     Raises SingularMatrixError when an eigenvalue vanishes or the estimated
     condition number max|w|/min|w| exceeds cond_limit.
     """
-    if cond_limit <= 1.0:
-        raise ValueError("cond_limit must exceed 1")
-    w, v = jacobi_eigensystem(m.array)
-    amax = float(np.max(np.abs(w)))
-    amin = float(np.min(np.abs(w)))
-    if amin == 0.0 or amax == 0.0 or amax / amin > cond_limit:
+    _, inverse, cond = _decompose(m, cond_limit=cond_limit)
+    if inverse is None:
         raise SingularMatrixError(
             f"matrix is singular or ill-conditioned (cond estimate "
-            f"{amax / amin if amin else np.inf:.3e} > {cond_limit:.3e})"
+            f"{cond:.3e} > {cond_limit:.3e})"
         )
-    return SymMatrix((v / w) @ v.T)
+    return inverse
 
 
 def inertia(m: SymMatrix, zero_tol: float | None = None) -> Inertia:
@@ -131,14 +99,7 @@ def inertia(m: SymMatrix, zero_tol: float | None = None) -> Inertia:
     zero_tol defaults to 1e-9 times the largest absolute entry, suitable
     for circle data of magnitude O(1) to O(1e3).
     """
-    if zero_tol is None:
-        zero_tol = 1e-9 * float(np.max(np.abs(m.array), initial=0.0))
-    if zero_tol < 0.0:
-        raise ValueError("zero_tol must be nonnegative")
-    w, _ = jacobi_eigensystem(m.array)
-    n_pos = int(np.sum(w > zero_tol))
-    n_neg = int(np.sum(w < -zero_tol))
-    return Inertia(n_pos, n_neg, m.dim - n_pos - n_neg)
+    return _decompose(m, zero_tol)[0]
 
 
 def solve_affine(

@@ -105,17 +105,29 @@ class SolveResult:
         return len(self.solutions)
 
 
-def _stable_quadratic(q2: float, q1: float, q0: float) -> list[float]:
-    """Real roots of q2*s^2 + q1*s + q0 = 0 with a nonnegative discriminant."""
+def _real_roots(q2: float, q1: float, q0: float) -> tuple[list[float], float]:
+    """Real roots of q2*s^2 + q1*s + q0 = 0, and the discriminant.
+
+    A leading coefficient negligible against the others drops to the
+    linear case.  A discriminant negative beyond round-off leaves no root;
+    one within round-off of zero gives the double root.
+    """
     disc = q1 * q1 - 4.0 * q2 * q0
-    root = np.sqrt(max(disc, 0.0))
+    if abs(q2) <= _QUAD_DEGENERATE * max(abs(q1), abs(q0), 1.0):
+        if abs(q1) <= _QUAD_DEGENERATE * max(abs(q0), 1.0):
+            return [], disc
+        return [-q0 / q1], disc
+    if disc < -_QUAD_DEGENERATE * max(q1 * q1, abs(4.0 * q2 * q0)):
+        return [], disc
     if disc <= 0.0:
-        return [-q1 / (2.0 * q2)]
+        return [-q1 / (2.0 * q2)], disc
+    root = np.sqrt(disc)
     if q1 >= 0.0:
         w = -(q1 + root) / 2.0
     else:
         w = -(q1 - root) / 2.0
-    return [w / q2, q0 / w] if w != 0.0 else [root / (2.0 * q2), -root / (2.0 * q2)]
+    roots = [w / q2, q0 / w] if w != 0.0 else [root / (2.0 * q2), -root / (2.0 * q2)]
+    return roots, disc
 
 
 def _aligned_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -162,13 +174,7 @@ def complete_configuration(
     q2 = _inner_raw(k, k)
     q1 = 2.0 * _inner_raw(x_p, k)
     q0 = _inner_raw(x_p, x_p) + 1.0
-    discriminant = q1 * q1 - 4.0 * q2 * q0
-    if abs(q2) <= _QUAD_DEGENERATE * max(abs(q1), abs(q0), 1.0):
-        roots = [] if abs(q1) <= _QUAD_DEGENERATE * max(abs(q0), 1.0) else [-q0 / q1]
-    elif discriminant < -_QUAD_DEGENERATE * max(q1 * q1, abs(4.0 * q2 * q0)):
-        roots = []
-    else:
-        roots = _stable_quadratic(q2, q1, q0)
+    roots, discriminant = _real_roots(q2, q1, q0)
 
     entries = []
     for s in roots:
@@ -286,14 +292,10 @@ def curvature_solve(f_inverse: SymMatrix, known_b: Sequence[float]) -> list[floa
     q2 = float(farr[-1, -1])
     q1 = 2.0 * float(farr[-1, :-1] @ kb)
     q0 = float(kb @ farr[:-1, :-1] @ kb)
-    if abs(q2) <= _QUAD_DEGENERATE * max(abs(q1), abs(q0), 1.0):
-        if abs(q1) <= _QUAD_DEGENERATE * max(abs(q0), 1.0):
-            raise NoRealSolutionError("degenerate curvature equation with no root")
-        return [-q0 / q1]
-    disc = q1 * q1 - 4.0 * q2 * q0
-    if disc < -_QUAD_DEGENERATE * max(q1 * q1, abs(4.0 * q2 * q0)):
-        raise NoRealSolutionError(f"negative discriminant {disc:.6g}")
-    return sorted(_stable_quadratic(q2, q1, q0), reverse=True)
+    roots, disc = _real_roots(q2, q1, q0)
+    if not roots:
+        raise NoRealSolutionError(f"curvature equation has no real root (discriminant {disc:.6g})")
+    return sorted(roots, reverse=True)
 
 
 #: Identity evaluators by family name.  Curvatures are signed; any

@@ -12,6 +12,8 @@ from pedoe import (
     data_matrix,
     dual_products,
     gram,
+    inertia,
+    invert_symmetric,
     master_residual,
     metric,
     realizable,
@@ -40,7 +42,7 @@ def test_gram_of_orthogonal_quadruple(orthogonal_quadruple):
     )
     assert np.max(np.abs(cfg.f.array - expected)) <= 1e-12
     # and its columns are the expected unit vectors
-    cols = data_matrix(orthogonal_quadruple).array
+    cols = data_matrix(orthogonal_quadruple)
     expected_cols = np.array(
         [
             [1.0, -1.0, 0.0, 0.0],
@@ -66,6 +68,8 @@ def test_gram_rejects_points_and_bad_counts():
         gram([Sphere([0.0, 0.0], 1.0)] * 3 + [PointShape([0.0, 0.0])])
     with pytest.raises(DimensionMismatchError):
         gram([Sphere([0.0, 0.0], 1.0)] * 3)
+    with pytest.raises(DimensionMismatchError):
+        gram([Sphere([0.0, 0.0], 1.0)] * 3 + [Sphere([0.0, 0.0, 0.0], 1.0)])
 
 
 def test_gram_equals_congruence_route():
@@ -73,7 +77,7 @@ def test_gram_equals_congruence_route():
     for _ in range(50):
         n = int(rng.integers(2, 4))
         spheres = [random_circle(rng, n=n, oriented=True) for _ in range(n + 2)]
-        a = data_matrix(spheres).array
+        a = data_matrix(spheres)
         two_route = a.T @ metric(n).array @ a
         assert np.max(np.abs(gram(spheres).f.array - two_route)) <= 1e-12 * max(
             1.0, np.max(np.abs(two_route))
@@ -125,7 +129,7 @@ def test_dual_products_worked_entries(orthogonal_quadruple):
 
 def test_corrected_position_identity(orthogonal_quadruple):
     # reduced positions satisfy x4^2 = x1*x2 + x2*x3 + x3*x1 + 1 (plus, not minus)
-    xdot = data_matrix(orthogonal_quadruple).array[2, :]
+    xdot = data_matrix(orthogonal_quadruple)[2, :]
     lhs = xdot[3] ** 2
     rhs = xdot[0] * xdot[1] + xdot[1] * xdot[2] + xdot[2] * xdot[0] + 1.0
     assert abs(lhs - rhs) <= 1e-9
@@ -156,3 +160,6 @@ def test_constructed_configurations_are_realizable():
             continue
         assert realizable(cfg.f) is Realizability.REALIZABLE
         assert master_residual(spheres) <= 1e-8
+        # gram's single decomposition agrees with the separate public calls
+        assert cfg.inertia == inertia(cfg.f)
+        assert np.allclose(cfg.inverse.array, invert_symmetric(cfg.f).array)

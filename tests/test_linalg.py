@@ -11,7 +11,6 @@ from pedoe import (
     metric,
     solve_affine,
 )
-from pedoe.linalg import jacobi_eigensystem
 
 
 def test_symmatrix_symmetrizes_by_averaging():
@@ -22,17 +21,6 @@ def test_symmatrix_symmetrizes_by_averaging():
 def test_symmatrix_rejects_nonsquare():
     with pytest.raises(ValueError):
         SymMatrix([[1.0, 2.0, 3.0]])
-
-
-def test_jacobi_matches_numpy_eigenvalues():
-    rng = np.random.default_rng(11)
-    for _ in range(60):
-        n = int(rng.integers(1, 10))
-        a = rng.normal(size=(n, n))
-        a = a + a.T
-        w, v = jacobi_eigensystem(a)
-        assert np.allclose(np.sort(w), np.sort(np.linalg.eigvalsh(a)), atol=1e-10)
-        assert np.max(np.abs(v @ np.diag(w) @ v.T - a)) < 1e-10
 
 
 def test_invert_identity():
@@ -64,7 +52,7 @@ def test_invert_respects_cond_limit():
 def test_invert_random_well_conditioned():
     rng = np.random.default_rng(12)
     for _ in range(100):
-        n = int(rng.integers(2, 9))
+        n = int(rng.integers(1, 10))
         a = rng.normal(size=(n, n))
         a = a + a.T + 2.0 * n * np.eye(n)
         m = SymMatrix(a)
@@ -97,7 +85,7 @@ def test_inertia_congruence_invariant():
     # Sylvester's law: inertia survives m -> P^T m P for invertible P
     rng = np.random.default_rng(13)
     for _ in range(60):
-        n = int(rng.integers(2, 9))
+        n = int(rng.integers(1, 10))
         a = rng.normal(size=(n, n))
         a = a + a.T
         m = SymMatrix(a)
@@ -111,7 +99,7 @@ def test_inertia_congruence_invariant():
 def test_inertia_counts_match_numpy():
     rng = np.random.default_rng(14)
     for _ in range(40):
-        n = int(rng.integers(2, 9))
+        n = int(rng.integers(1, 10))
         a = rng.normal(size=(n, n))
         a = a + a.T
         w = np.linalg.eigvalsh(a)
