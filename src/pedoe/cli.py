@@ -34,13 +34,12 @@ import argparse
 import json
 import math
 import sys
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .configuration import Realizability, gram, master_residual, realizable
+from .configuration import Realizability, _verdict, gram, master_residual
 from .errors import (
     DependentKnownsError,
     InconsistentSystemError,
@@ -50,8 +49,9 @@ from .errors import (
     SingularMatrixError,
     UnsupportedRenderError,
 )
-from .geometry import GeneralizedSphere, Hyperplane, PointShape, Sphere, pedoe_vector
+from .geometry import GeneralizedSphere, Hyperplane, PointShape, Sphere
 from .linalg import SymMatrix, inertia
+from .packing import gasket
 from .solver import (
     ConstraintRow,
     SolveResult,
@@ -67,8 +67,6 @@ EXIT_OK = 0
 EXIT_NO_SOLUTION = 1
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
-
-_GASKET_MAX_CIRCLES = 100000
 
 
 # ---------------------------------------------------------------------------
@@ -283,66 +281,6 @@ def _result_json(result: SolveResult) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# gasket iteration
-
-
-def gasket_circles(
-    seed: Sequence[Sphere], max_curvature: float, max_count: int = _GASKET_MAX_CIRCLES
-) -> list[tuple[Sphere, Optional[tuple[int, int, int]]]]:
-    """Recursive tangent-circle filling of a mutually tangent triple.
-
-    Starts from both completions of the seed triple and repeatedly fills
-    each curvilinear gap with the circle tangent to its three walls,
-    stopping at |curvature| > max_curvature.  Returns (circle, parents)
-    records, parents being indices of the three spawning circles (None for
-    the seeds), sorted by curvature with parent indices remapped.
-    """
-    if len(seed) != 3:
-        raise ValueError("gasket needs exactly three seed circles")
-    circles: list[Sphere] = list(seed)
-    parents: list[Optional[tuple[int, int, int]]] = [None, None, None]
-    work: deque = deque()
-
-    def push(idx: int, triple: tuple[int, int, int]):
-        i, j, k = triple
-        work.append(((idx, j, k), i))
-        work.append(((i, idx, k), j))
-        work.append(((i, j, idx), k))
-
-    first = soddy_circles(*seed)
-    for sol in first.solutions:
-        if isinstance(sol, Sphere) and abs(sol.curvature) <= max_curvature:
-            circles.append(sol)
-            parents.append((0, 1, 2))
-            push(len(circles) - 1, (0, 1, 2))
-    while work and len(circles) < max_count:
-        triple, excluded = work.popleft()
-        res = complete_configuration([circles[t] for t in triple], ConstraintRow.external(3))
-        exc = pedoe_vector(circles[excluded]).components
-        fresh = None
-        for sol in res.solutions:
-            if not isinstance(sol, Sphere):
-                continue
-            if np.linalg.norm(pedoe_vector(sol).components - exc) > 1e-6:
-                fresh = sol
-        if fresh is None or abs(fresh.curvature) > max_curvature:
-            continue
-        circles.append(fresh)
-        parents.append(triple)
-        push(len(circles) - 1, triple)
-
-    order = sorted(range(len(circles)), key=lambda i: (circles[i].curvature, i))
-    remap = {old: new for new, old in enumerate(order)}
-    return [
-        (
-            circles[i],
-            None if parents[i] is None else tuple(sorted(remap[p] for p in parents[i])),
-        )
-        for i in order
-    ]
-
-
-# ---------------------------------------------------------------------------
 # SVG rendering
 
 
@@ -461,7 +399,7 @@ def _verify_doc(spheres: Optional[list], f: Optional[SymMatrix] = None) -> tuple
         f, ine = cfg.f, cfg.inertia
         if cfg.inverse is not None:
             residual = _clean_float(master_residual(spheres, cfg.inverse))
-    verdict = realizable(f)
+    verdict = _verdict(ine, f.dim)
     doc = {
         "gram": [[_clean_float(x) for x in row] for row in f.array.tolist()],
         "inertia": list(ine),
@@ -555,19 +493,17 @@ def cmd_orthocircle(args) -> int:
 
 def cmd_gasket(args) -> int:
     job = load_job(args.input, args.dim, args.tol)
-    knowns = job.concrete_spheres
-    if len(knowns) < 3 or any(not isinstance(s, Sphere) for s in knowns):
-        raise ValueError("gasket needs three seed circles")
-    records = gasket_circles(knowns[:3], args.max_curvature)
+    g = gasket(job.concrete_spheres[:3], args.max_curvature)
+    if g.truncated:
+        print(f"warning: gasket truncated at {len(g.radii)} circles", file=sys.stderr)
     doc = {
         "max_curvature": float(args.max_curvature),
-        "count": len(records),
+        "count": len(g.radii),
+        "truncated": g.truncated,
         "circles": [
-            dict(
-                _shape_json(circle),
-                parents=None if par is None else list(par),
-            )
-            for circle, par in records
+            {"center": [_clean_float(x) for x in c], "radius": _clean_float(r),
+             "curvature": _clean_float(1.0 / r), "parents": None if p[0] < 0 else p}
+            for c, r, p in zip(g.centers.tolist(), g.radii.tolist(), g.parents.tolist())
         ],
     }
     _emit(doc, args.json)
@@ -622,7 +558,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.set_defaults(func=cmd_orthocircle)
 
-    p = sub.add_parser("gasket", parents=[common], help="recursive tangent-circle packing demo")
+    p = sub.add_parser("gasket", parents=[common], help="Apollonian packing of a tangent triple")
     p.add_argument("input")
     p.add_argument("--max-curvature", type=float, required=True)
     p.set_defaults(func=cmd_gasket)

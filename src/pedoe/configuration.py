@@ -120,9 +120,12 @@ def realizable(f: SymMatrix, zero_tol: float | None = None) -> Realizability:
     the answer Degenerate (rank-deficient family), anything else is
     NotRealizable.
     """
-    ine = linalg.inertia(f, zero_tol)
+    return _verdict(linalg.inertia(f, zero_tol), f.dim)
+
+
+def _verdict(ine: Inertia, dim: int) -> Realizability:
     if ine.n_zero > 0:
         return Realizability.DEGENERATE
-    if ine == Inertia(1, f.dim - 1, 0):
+    if ine == Inertia(1, dim - 1, 0):
         return Realizability.REALIZABLE
     return Realizability.NOT_REALIZABLE

@@ -70,26 +70,22 @@ class MVector:
         return f"MVector({np.array2string(self.components, separator=', ')})"
 
 
-def metric(n: int) -> SymMatrix:
-    """Metric matrix of the isotropic basis for ambient dimension n."""
+def _isotropic(n: int, corner: float) -> SymMatrix:
     if n < 1:
         raise ValueError("ambient dimension must be >= 1")
-    g = np.zeros((n + 2, n + 2))
-    g[0, 1] = g[1, 0] = 0.5
-    idx = np.arange(2, n + 2)
-    g[idx, idx] = -1.0
+    g = np.diag([0.0, 0.0] + [-1.0] * n)
+    g[0, 1] = g[1, 0] = corner
     return SymMatrix(g)
+
+
+def metric(n: int) -> SymMatrix:
+    """Metric matrix of the isotropic basis for ambient dimension n."""
+    return _isotropic(n, 0.5)
 
 
 def metric_inverse(n: int) -> SymMatrix:
     """Inverse metric: off-diagonal 2 block, then the same -1 tail."""
-    if n < 1:
-        raise ValueError("ambient dimension must be >= 1")
-    g = np.zeros((n + 2, n + 2))
-    g[0, 1] = g[1, 0] = 2.0
-    idx = np.arange(2, n + 2)
-    g[idx, idx] = -1.0
-    return SymMatrix(g)
+    return _isotropic(n, 2.0)
 
 
 def _inner_raw(a: np.ndarray, b: np.ndarray) -> float:

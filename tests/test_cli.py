@@ -8,6 +8,7 @@ import pytest
 
 from pedoe import Sphere, pedoe_product
 from pedoe.cli import relation_value, render_svg, run
+from pedoe.packing import gasket
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -228,6 +229,7 @@ def test_gasket_soundness_and_determinism(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["count"] == len(doc["circles"]) > 20
+    assert doc["truncated"] is False
     circles = [Sphere(c["center"], c["radius"]) for c in doc["circles"]]
     for record, circle in zip(doc["circles"], circles):
         assert abs(circle.curvature) <= 40.0 + 1e-9
@@ -239,6 +241,16 @@ def test_gasket_soundness_and_determinism(capsys):
         capsys, "gasket", fixture("unit_triple.json"), "--max-curvature", "40", "--json"
     )
     assert out2 == out
+
+
+def test_gasket_reports_truncation(capsys, monkeypatch):
+    monkeypatch.setattr("pedoe.cli.gasket", lambda seed, k: gasket(seed, k, max_count=50))
+    code = run(["gasket", fixture("unit_triple.json"), "--max-curvature", "40", "--json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    doc = json.loads(captured.out)
+    assert doc["truncated"] is True and doc["count"] == len(doc["circles"]) == 50
+    assert "warning: gasket truncated at 50 circles" in captured.err
 
 
 # ---------------------------------------------------------------------------
